@@ -90,7 +90,7 @@ fn ztest_label_row(i: usize) -> (i64, String, String, i32) {
         (i as i64) * 50,
         format!("user-{:05}", i % 4_000),
         format!("ad-{:03}", i % ZTEST_ADS),
-        i32::from(i % 9 == 0),
+        i32::from(i.is_multiple_of(9)),
     )
 }
 

@@ -226,6 +226,51 @@ mod tests {
     }
 
     #[test]
+    fn counts_push_one_partial_aggregate_per_source() {
+        // TotalCount and PerKWCount window outside their GroupApply; the
+        // push-down treats each Hop as its group's window, so both sources
+        // ship cell partials instead of re-windowed rows.
+        let btq = query(&BtParams::default());
+        let cols = vec!["AdId".to_string()];
+        let pd = temporal::plan::push_down(&btq.plan, Some(&cols)).unwrap();
+        assert_eq!(pd.partials, 2);
+        let sources: Vec<&str> = pd.mappers.iter().map(|m| m.source.as_str()).collect();
+        assert_eq!(sources, ["labels", "train_rows"]);
+        assert!(pd.mappers.iter().all(|m| m.partial_agg));
+
+        // Split execution (mappers per extent, residual over their
+        // concatenated output) matches direct execution.
+        let (labels, rows) = sample();
+        let direct = execute_single(
+            &btq.plan,
+            &bindings(vec![
+                ("labels", labels.clone()),
+                ("train_rows", rows.clone()),
+            ]),
+        )
+        .unwrap()
+        .normalize();
+        let mut inputs = Vec::new();
+        for (m, input) in pd.mappers.iter().zip([labels, rows]) {
+            let mut mapped = Vec::new();
+            let mut schema = None;
+            for chunk in input.events().chunks(7) {
+                let part = EventStream::new(input.schema().clone(), chunk.to_vec());
+                let out =
+                    execute_single(&m.plan, &bindings(vec![(m.source.as_str(), part)])).unwrap();
+                schema = Some(out.schema().clone());
+                mapped.extend(out.events().iter().cloned());
+            }
+            inputs.push((m.source.as_str(), EventStream::new(schema.unwrap(), mapped)));
+        }
+        let split = execute_single(&pd.residual, &bindings(inputs))
+            .unwrap()
+            .normalize();
+        assert!(!direct.events().is_empty());
+        assert_eq!(direct, split);
+    }
+
+    #[test]
     fn annotation_forms_single_adid_fragment() {
         let btq = query(&BtParams::default());
         btq.annotation.validate(&btq.plan).unwrap();

@@ -1050,6 +1050,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TaskPhase;
     use crate::job::{IdentityReducer, Mapper, Partitioner, Reducer, ReducerRef};
     use relation::schema::{ColumnType, Field};
     use relation::{row, Schema};

@@ -6,7 +6,8 @@
 //! communication-reduction: for each source it finds the *exchange-free
 //! prefix* (the maximal single-consumer chain of stateless operators that
 //! preserves the partition key columns) and, when the operator straddling
-//! the exchange is a hopping-window aggregation whose aggregates are all
+//! the exchange is a hopping-window aggregation (window inside the group,
+//! or a single-consumer Hop just before it) whose aggregates are all
 //! [`AggExpr::combinable`], a *partial-aggregation* step — and splits the
 //! plan into per-source **mapper plans** (run map-side, per input extent,
 //! before partitioning) and a **residual plan** (run reduce-side, with the
@@ -32,6 +33,14 @@
 //!   slicing the input into extents combines to the same final values.
 //! * The grouping keys contain the partition key columns, so all partials
 //!   of a key land in the partition its raw events would have landed in.
+//! * A window written outside the group — `Hop{hop, width}` feeding
+//!   `GroupApply(keys){GroupInput → Aggregate}`, the shape of the paper's
+//!   feature-selection counts — is the same query as the window inside
+//!   it: a Hop rewrites each event's lifetime from its own start time and
+//!   leaves the payload alone, so it commutes with splitting the stream by
+//!   key. When that Hop has no other consumer, the pair is treated as
+//!   `GroupApply(keys){GroupInput → Hop{hop, width} → Aggregate}` and
+//!   split as above; otherwise the Hop stays an ordinary stateless op.
 //!
 //! Downstream, the reducer's canonical encode (sort before write) turns
 //! "same event multiset per partition" into byte-identical output, which
@@ -188,6 +197,22 @@ struct Partial {
     aggs: Vec<(String, AggExpr)>,
 }
 
+/// The aggregates of a window-free GroupApply sub-plan, `GroupInput →
+/// Aggregate(aggs)`: the group side of a `Hop → GroupApply` pair.
+fn plain_aggregate(subplan: &LogicalPlan) -> Option<&[(String, AggExpr)]> {
+    if subplan.nodes().len() != 2 || subplan.roots().len() != 1 {
+        return None;
+    }
+    let root = subplan.node(subplan.roots()[0]);
+    let Operator::Aggregate { aggs } = &root.op else {
+        return None;
+    };
+    let Operator::GroupInput { .. } = subplan.node(root.inputs[0]).op else {
+        return None;
+    };
+    Some(aggs)
+}
+
 /// `GroupInput → Hop{hop, width} → Aggregate(aggs)` as a GroupApply
 /// sub-plan (the construction [`factor_windows`] uses).
 fn hopping_subplan(
@@ -312,22 +337,40 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
             }
             chain.push(c);
         }
-        let cut = *chain.last().expect("chain starts non-empty");
+        let mut cut = *chain.last().expect("chain starts non-empty");
 
         // Partial aggregation across the exchange: the operator straddling
         // the cut must be a combinable hopping-window GroupApply keyed at
         // least as coarsely as the partitioner, and it must be the cut
-        // point's only consumer (other consumers still need raw rows).
+        // point's only consumer (other consumers still need raw rows). The
+        // window is either inside the group (`GroupInput → Hop →
+        // Aggregate`) or the cut point itself (`Hop` feeding `GroupInput →
+        // Aggregate`); in the second case the Hop leaves the chain and
+        // becomes the group's window.
         let mut partial: Option<Partial> = None;
         if eff[cut] == 1 {
             if let Some(c) = consumer_of(cut) {
                 if let Operator::GroupApply { keys, subplan } = &plan.node(c).op {
-                    if let Some((hop, width, aggs)) = hopping_aggregate(subplan) {
+                    let window = match (hopping_aggregate(subplan), &plan.node(cut).op) {
+                        (Some((hop, width, aggs)), _) => Some((hop, width, aggs, false)),
+                        (
+                            None,
+                            Operator::AlterLifetime {
+                                op: LifetimeOp::Hop { hop, width },
+                            },
+                        ) => plain_aggregate(subplan).map(|aggs| (*hop, *width, aggs, true)),
+                        _ => None,
+                    };
+                    if let Some((hop, width, aggs, absorbs_hop)) = window {
                         let cut_schema = plan.schema_of(cut);
                         let combinable = aggs.iter().all(|(_, a)| a.combinable(cut_schema));
                         let keyed =
                             partition_cols.is_none_or(|cols| cols.iter().all(|k| keys.contains(k)));
                         if combinable && keyed {
+                            if absorbs_hop {
+                                chain.pop();
+                                cut = *chain.last().expect("the Hop follows the source");
+                            }
                             partial = Some(Partial {
                                 ga: c,
                                 keys: keys.clone(),
@@ -491,7 +534,7 @@ mod tests {
         for i in 0..40i64 {
             out.push(Event::point(
                 i * 3 + 1,
-                row![(i % 3) as i32, format!("u{}", i % 5), (i * 7 % 13) as i64],
+                row![(i % 3) as i32, format!("u{}", i % 5), i * 7 % 13],
             ));
         }
         out
@@ -639,6 +682,150 @@ mod tests {
         for (d, s) in direct.iter().zip(&split) {
             assert_eq!(d.normalize(), s.normalize());
         }
+    }
+
+    /// `input → [Filter →] Hop{hop, width} → GroupApply(UserId){Aggregate}`:
+    /// the window written outside the group.
+    fn outer_hop_plan(
+        filter: bool,
+        lifetime: LifetimeOp,
+        aggs: Vec<(String, AggExpr)>,
+    ) -> LogicalPlan {
+        let q = Query::new();
+        let mut s = q.source("in", schema());
+        if filter {
+            s = s.filter(col("V").gt(lit(2i64)));
+        }
+        let s = match lifetime {
+            LifetimeOp::Hop { hop, width } => s.hop_window(hop, width),
+            LifetimeOp::Window(w) => s.window(w),
+            LifetimeOp::Shift(d) => s.shift(d),
+            op => unreachable!("no builder for {op:?}"),
+        };
+        let out = s.group_apply(&["UserId"], move |g| g.aggregate(aggs.clone()));
+        q.build(vec![out]).unwrap()
+    }
+
+    fn count_sum_max() -> Vec<(String, AggExpr)> {
+        vec![
+            ("N".to_string(), AggExpr::Count),
+            ("S".to_string(), AggExpr::Sum(col("V"))),
+            ("Hi".to_string(), AggExpr::Max(col("V"))),
+        ]
+    }
+
+    #[test]
+    fn outer_hop_becomes_the_groups_window() {
+        let cols = vec!["UserId".to_string()];
+        for (filter, hop, width) in [
+            (false, 4, 12),
+            (true, 4, 12),
+            (true, 6, 6),
+            (false, 121, 121),
+        ] {
+            let plan = outer_hop_plan(filter, LifetimeOp::Hop { hop, width }, count_sum_max());
+            let pd = push_down(&plan, Some(&cols)).unwrap();
+            assert_eq!(pd.partials, 1, "outer Hop should push partials:\n{plan}");
+            // The Hop is absorbed into the partial, not counted as a
+            // pushed stateless op, and the mapper windows on the GCD cell.
+            assert_eq!(pd.pushed_ops, usize::from(filter));
+            let m = &pd.mappers[0].plan;
+            let g = gcd(hop, width);
+            assert!(matches!(m.node(m.roots()[0]).op, Operator::SpreadGrid { grid } if grid == g));
+            assert!(!m
+                .nodes()
+                .iter()
+                .any(|n| matches!(n.op, Operator::AlterLifetime { .. })));
+            // The residual re-windows the partials inside the GroupApply.
+            assert!(pd.residual.nodes().iter().any(|n| matches!(
+                &n.op,
+                Operator::GroupApply { subplan, .. }
+                    if hopping_aggregate(subplan).is_some_and(|(h, w, _)| (h, w) == (hop, width))
+            )));
+            for extents in [1, 2, 5] {
+                assert_split_equivalent(&plan, Some(&cols), extents);
+            }
+        }
+    }
+
+    #[test]
+    fn two_source_outer_hop_counts_push_one_partial_each() {
+        // The feature-selection shape: per-key and per-(key, column) counts
+        // under an outer Hop, joined on the key. Each source pushes one
+        // partial; the join stays reduce-side.
+        let q = Query::new();
+        let totals = q
+            .source("a", schema())
+            .hop_window(40, 40)
+            .group_apply(&["UserId"], |g| {
+                g.aggregate(vec![
+                    ("Tot".to_string(), AggExpr::Sum(col("V"))),
+                    ("TotN".to_string(), AggExpr::Count),
+                ])
+            });
+        let per = q
+            .source("b", schema())
+            .hop_window(40, 40)
+            .group_apply(&["UserId", "StreamId"], |g| {
+                g.aggregate(vec![("N".to_string(), AggExpr::Count)])
+            });
+        let plan = q
+            .build(vec![per.temporal_join(
+                totals,
+                &[("UserId", "UserId")],
+                None,
+            )])
+            .unwrap();
+        let cols = vec!["UserId".to_string()];
+        let pd = push_down(&plan, Some(&cols)).unwrap();
+        assert_eq!(pd.partials, 2);
+        assert_eq!(pd.pushed_ops, 0);
+        assert_eq!(pd.mappers.len(), 2);
+        assert!(pd.mappers.iter().all(|m| m.partial_agg));
+    }
+
+    #[test]
+    fn outer_hop_negatives_keep_todays_split() {
+        let cols = vec!["UserId".to_string()];
+        let hop = LifetimeOp::Hop { hop: 4, width: 12 };
+
+        // Not combinable: the Hop and the filter push as stateless ops.
+        let avg = vec![("A".to_string(), AggExpr::Avg(col("V")))];
+        let plan = outer_hop_plan(true, hop.clone(), avg);
+        let pd = push_down(&plan, Some(&cols)).unwrap();
+        assert_eq!((pd.partials, pd.pushed_ops), (0, 2));
+        assert_split_equivalent(&plan, Some(&cols), 3);
+
+        // Keys finer than the partitioner.
+        let wide = vec!["UserId".to_string(), "StreamId".to_string()];
+        let plan = outer_hop_plan(true, hop.clone(), count_sum_max());
+        let pd = push_down(&plan, Some(&wide)).unwrap();
+        assert_eq!((pd.partials, pd.pushed_ops), (0, 2));
+        assert_split_equivalent(&plan, Some(&wide), 3);
+
+        // A non-Hop lifetime op is not a window the partials can absorb.
+        for op in [LifetimeOp::Window(12), LifetimeOp::Shift(5)] {
+            let plan = outer_hop_plan(true, op, count_sum_max());
+            let pd = push_down(&plan, Some(&cols)).unwrap();
+            assert_eq!((pd.partials, pd.pushed_ops), (0, 2), "{plan}");
+            assert_split_equivalent(&plan, Some(&cols), 3);
+        }
+
+        // The Hop has a second consumer (it is also a query output): it
+        // ends the chain as an ordinary stateless op and the GroupApply
+        // keeps reading raw windowed rows reduce-side.
+        let q = Query::new();
+        let hopped = q
+            .source("in", schema())
+            .filter(col("V").gt(lit(2i64)))
+            .hop_window(4, 12);
+        let agg = hopped
+            .clone()
+            .group_apply(&["UserId"], |g| g.aggregate(count_sum_max()));
+        let plan = q.build(vec![agg, hopped]).unwrap();
+        let pd = push_down(&plan, Some(&cols)).unwrap();
+        assert_eq!((pd.partials, pd.pushed_ops), (0, 2));
+        assert_split_equivalent(&plan, Some(&cols), 3);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use timr_suite::bt::lr::LrConfig;
 use timr_suite::bt::pipeline::BtPipeline;
 use timr_suite::bt::BtParams;
 use timr_suite::mapreduce::{Cluster, Dataset, Dfs};
+use timr_suite::timr::{EventEncoding, TimrJob};
 
 struct Setup {
     dfs: Dfs,
@@ -226,19 +227,20 @@ fn bot_elimination_removes_planted_bots_activity() {
     }
 }
 
-#[test]
-fn declarative_and_custom_pipelines_agree_at_scale() {
-    let s = setup(404, 700);
+/// Every TiMR score matches the custom-reducer pipeline's z within 1e-9,
+/// and at least 90% of them have a custom counterpart.
+fn assert_scores_match_custom(s: &Setup, scores_dataset: &str, custom_prefix: &str) {
     timr_suite::bt::baselines::custom::run_custom(
         &s.dfs,
         &Cluster::new(),
         "logs",
-        "cust",
+        custom_prefix,
         &s.params,
     )
     .unwrap();
-    let timr_scores = BtPipeline::load_scores(&s.dfs, &s.artifacts.scores).unwrap();
-    let custom_scores = BtPipeline::load_custom_scores(&s.dfs, "cust_scores").unwrap();
+    let timr_scores = BtPipeline::load_scores(&s.dfs, scores_dataset).unwrap();
+    let custom_scores =
+        BtPipeline::load_custom_scores(&s.dfs, &format!("{custom_prefix}_scores")).unwrap();
     assert!(!timr_scores.is_empty());
 
     let custom_map: std::collections::BTreeMap<(String, String), f64> = custom_scores
@@ -263,4 +265,51 @@ fn declarative_and_custom_pipelines_agree_at_scale() {
         "{matched}/{} scores matched",
         timr_scores.len()
     );
+}
+
+#[test]
+fn declarative_and_custom_pipelines_agree_at_scale() {
+    let s = setup(404, 700);
+    assert_scores_match_custom(&s, &s.artifacts.scores, "cust");
+}
+
+/// FeatureSelection writes its counts as `hop → GroupApply{Aggregate}`;
+/// push-down ships them as one partial aggregate per source, and the
+/// published scores are byte-identical to the reduce-only plan's.
+#[test]
+fn feature_selection_pushes_partials_with_identical_scores() {
+    let s = setup(505, 600);
+    let fs = timr_suite::bt::queries::feature_selection::query(&s.params);
+    let job = |push: bool| {
+        TimrJob::new(if push { "fs_on" } else { "fs_off" }, fs.plan.clone())
+            .with_annotation(fs.annotation.clone())
+            .with_machines(s.params.machines)
+            .with_source_encoding("labels", EventEncoding::Interval)
+            .with_source_encoding("train_rows", EventEncoding::Interval)
+            .with_push_down(push)
+    };
+    assert_eq!(job(true).compile().unwrap().pushed_partials, 2);
+    assert_eq!(job(false).compile().unwrap().pushed_partials, 0);
+
+    let on = job(true).run(&s.dfs, &Cluster::new()).unwrap();
+    let off = job(false).run(&s.dfs, &Cluster::new()).unwrap();
+    let (on_ds, off_ds) = (
+        s.dfs.get(&on.dataset).unwrap(),
+        s.dfs.get(&off.dataset).unwrap(),
+    );
+    assert!(!on_ds.is_empty());
+    assert_eq!(on_ds.partitions, off_ds.partitions);
+    assert_eq!(on_ds.extents().len(), off_ds.extents().len());
+    for i in 0..on_ds.extents().len() {
+        assert_eq!(
+            on_ds.binary_extent(i),
+            off_ds.binary_extent(i),
+            "extent {i}"
+        );
+    }
+    assert!(
+        on.stats.map_totals().shuffle_bytes < off.stats.map_totals().shuffle_bytes,
+        "partials must shrink the shuffle"
+    );
+    assert_scores_match_custom(&s, &on.dataset, "cust_fs");
 }

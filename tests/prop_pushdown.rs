@@ -3,9 +3,11 @@
 //! the exchange is combinable, a factor-window partial aggregation — into
 //! mapper fragments must be *byte-identical*, per query, to the
 //! reduce-only plan, in every DSMS execution mode, under seeded chaos,
-//! and with shuffle spilling under a memory budget. Plans the split must
-//! refuse (non-combinable aggregates, partition keys the prefix renames
-//! away, finer-keyed group-applies) are exercised negatively.
+//! and with shuffle spilling under a memory budget. Windows written both
+//! inside the GroupApply and outside it (`hop → GroupApply{Aggregate}`,
+//! the feature-selection shape) are covered. Plans the split must refuse
+//! (non-combinable aggregates, partition keys the prefix renames away,
+//! finer-keyed group-applies) are exercised negatively.
 
 use proptest::prelude::*;
 use std::time::Duration as WallDuration;
@@ -66,6 +68,7 @@ impl AggKind {
 /// optional narrowing projection (pushable, drops `StreamId`), a hopping
 /// window over (user, ad) with a per-member aggregate, and a residual ad
 /// filter that must stay reduce-side (it reads the aggregate's output).
+/// `outer` writes the window before the GroupApply instead of inside it.
 #[derive(Debug, Clone)]
 struct Member {
     hop_mult: i64,
@@ -73,6 +76,7 @@ struct Member {
     ad: usize,
     agg: AggKind,
     narrow: bool,
+    outer: bool,
 }
 
 fn member_plan(m: &Member) -> LogicalPlan {
@@ -88,12 +92,17 @@ fn member_plan(m: &Member) -> LogicalPlan {
         ]);
     }
     let aggs = m.agg.aggs();
-    let out = clicks
-        .group_apply(&["UserId", "KwAdId"], move |g| {
-            g.hop_window(10 * m.hop_mult, 10 * m.width_mult)
-                .aggregate(aggs.clone())
+    let (hop, width) = (10 * m.hop_mult, 10 * m.width_mult);
+    let grouped = if m.outer {
+        clicks
+            .hop_window(hop, width)
+            .group_apply(&["UserId", "KwAdId"], move |g| g.aggregate(aggs.clone()))
+    } else {
+        clicks.group_apply(&["UserId", "KwAdId"], move |g| {
+            g.hop_window(hop, width).aggregate(aggs.clone())
         })
-        .filter(col("KwAdId").eq(lit(format!("ad{}", m.ad))));
+    };
+    let out = grouped.filter(col("KwAdId").eq(lit(format!("ad{}", m.ad))));
     q.build(vec![out]).unwrap()
 }
 
@@ -112,7 +121,12 @@ fn deterministic_rows(n: i64) -> Vec<Row> {
 }
 
 fn dfs_with(rows: &[Row]) -> Dfs {
-    let parts: Vec<Vec<Row>> = rows.chunks(40).map(|c| c.to_vec()).collect();
+    dfs_sliced(rows, 40)
+}
+
+/// The log as extents of `extent_rows` rows each.
+fn dfs_sliced(rows: &[Row], extent_rows: usize) -> Dfs {
+    let parts: Vec<Vec<Row>> = rows.chunks(extent_rows).map(|c| c.to_vec()).collect();
     let dfs = Dfs::new();
     dfs.put(
         "logs",
@@ -149,9 +163,20 @@ fn run_bytes(
     chaos: ChaosPlan,
     budget: Option<u64>,
 ) -> Vec<Vec<Vec<Row>>> {
-    let dfs = dfs_with(rows);
+    run_sliced(members, &dfs_with(rows), mode, push, chaos, budget)
+}
+
+/// [`run_bytes`] over a prepared DFS.
+fn run_sliced(
+    members: &[Member],
+    dfs: &Dfs,
+    mode: ExecMode,
+    push: bool,
+    chaos: ChaosPlan,
+    budget: Option<u64>,
+) -> Vec<Vec<Vec<Row>>> {
     let out = job(members, mode, push)
-        .run(&dfs, &cluster(chaos, budget))
+        .run(dfs, &cluster(chaos, budget))
         .unwrap();
     out.datasets
         .iter()
@@ -170,9 +195,9 @@ fn arb_member() -> impl Strategy<Value = Member> {
         0usize..3,
         0u8..3,
         any::<bool>(),
-        any::<bool>(),
+        (any::<bool>(), any::<bool>()),
     )
-        .prop_map(|(h, w, ad, agg, seven, narrow)| Member {
+        .prop_map(|(h, w, ad, agg, seven, (narrow, outer))| Member {
             hop_mult: if seven { 7 } else { h },
             width_mult: w + 1,
             ad,
@@ -182,7 +207,23 @@ fn arb_member() -> impl Strategy<Value = Member> {
                 _ => AggKind::Avg,
             },
             narrow,
+            outer,
         })
+}
+
+/// A member with its window outside the GroupApply.
+fn arb_outer_member() -> impl Strategy<Value = Member> {
+    arb_member().prop_map(|m| Member { outer: true, ..m })
+}
+
+/// Seeded chaos below the retry budget.
+fn chaos(seed: u64) -> ChaosPlan {
+    ChaosPlan::seeded(seed)
+        .with_panics(0.15)
+        .with_transients(0.15)
+        .with_corruption(0.12)
+        .with_delays(0.10, WallDuration::from_micros(200))
+        .with_fault_cap(2)
 }
 
 proptest! {
@@ -218,19 +259,45 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let rows = deterministic_rows(120);
-        let chaos = ChaosPlan::seeded(seed)
-            .with_panics(0.15)
-            .with_transients(0.15)
-            .with_corruption(0.12)
-            .with_delays(0.10, WallDuration::from_micros(200))
-            .with_fault_cap(2);
         let baseline = run_bytes(
             &members, &rows, ExecMode::Compiled, false, ChaosPlan::none(), None,
         );
         let pushed = run_bytes(
-            &members, &rows, ExecMode::Compiled, true, chaos, Some(2048),
+            &members, &rows, ExecMode::Compiled, true, chaos(seed), Some(2048),
         );
         prop_assert_eq!(baseline, pushed, "chaos+spill changed pushed-plan bytes");
+    }
+
+    /// A window written outside the GroupApply pushes as a partial
+    /// aggregate when the member is alone and combinable, and the bytes
+    /// equal the reduce-only plan's in all four modes, for any slicing of
+    /// the log into extents, and under chaos plus a spilling budget.
+    #[test]
+    fn outer_hop_partials_match_reduce_only(
+        member in arb_outer_member(),
+        n in 60i64..160,
+        extent_rows in 7usize..70,
+        seed in 0u64..1_000_000,
+    ) {
+        let members = [member];
+        let compiled = job(&members, ExecMode::Compiled, true).compile().unwrap();
+        let expect = usize::from(members[0].agg != AggKind::Avg);
+        prop_assert_eq!(compiled.pushed_partials, expect);
+
+        let dfs = dfs_sliced(&deterministic_rows(n), extent_rows);
+        let baseline = run_sliced(
+            &members, &dfs, ExecMode::Compiled, false, ChaosPlan::none(), None,
+        );
+        for mode in MODES {
+            let on = run_sliced(&members, &dfs, mode, true, ChaosPlan::none(), None);
+            let off = run_sliced(&members, &dfs, mode, false, ChaosPlan::none(), None);
+            prop_assert_eq!(&on, &off, "outer-hop bytes differ under {:?}", mode);
+            prop_assert_eq!(&on, &baseline, "{:?} differs from Compiled", mode);
+        }
+        let pushed = run_sliced(
+            &members, &dfs, ExecMode::Compiled, true, chaos(seed), Some(2048),
+        );
+        prop_assert_eq!(&baseline, &pushed, "chaos+spill changed outer-hop bytes");
     }
 }
 
@@ -312,6 +379,7 @@ fn non_combinable_aggregate_stays_reduce_side() {
         ad: 1,
         agg: AggKind::Avg,
         narrow: true,
+        outer: false,
     };
     let compiled = job(&[m], ExecMode::Compiled, true).compile().unwrap();
     assert_eq!(
