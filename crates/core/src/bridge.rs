@@ -83,28 +83,39 @@ impl EventEncoding {
         Ok(dataset.project(&names)?)
     }
 
-    /// Decode one row into an event (framing columns stripped).
-    pub fn decode(self, row: &Row) -> Result<Event> {
-        let le = row
-            .get(0)
-            .as_long()
-            .ok_or_else(|| TimrError::Compile(format!("non-integral Time in row {row}")))?;
-        let (re, skip) = match self {
-            EventEncoding::Point => (le + 1, 1),
-            EventEncoding::Interval => {
-                let re = row.get(1).as_long().ok_or_else(|| {
-                    TimrError::Compile(format!("non-integral TimeEnd in row {row}"))
-                })?;
-                (re, 2)
-            }
+    /// The lifetime a row's framing columns encode. Malformed framing — a
+    /// missing or non-integral cell, an empty lifetime, a point `Time`
+    /// with no tick after it — is a typed error naming the row, never a
+    /// panic: rows may come from persisted or corrupted datasets.
+    fn framed_lifetime(self, row: &Row) -> Result<Lifetime> {
+        let cell = |idx: usize, name: &str| -> Result<i64> {
+            let v = row
+                .values()
+                .get(idx)
+                .ok_or_else(|| TimrError::Compile(format!("missing {name} in row {row}")))?;
+            v.as_long()
+                .ok_or_else(|| TimrError::Compile(format!("non-integral {name} in row {row}")))
+        };
+        let le = cell(0, TIME_COLUMN)?;
+        let re = match self {
+            EventEncoding::Point => le.checked_add(1).ok_or_else(|| {
+                TimrError::Compile(format!("point Time {le} in row {row} has no end tick"))
+            })?,
+            EventEncoding::Interval => cell(1, TIME_END_COLUMN)?,
         };
         if re <= le {
             return Err(TimrError::Compile(format!(
                 "row {row} has empty lifetime [{le}, {re})"
             )));
         }
-        let payload = Row::new(row.values()[skip..].to_vec());
-        Ok(Event::new(Lifetime::new(le, re), payload))
+        Ok(Lifetime::new(le, re))
+    }
+
+    /// Decode one row into an event (framing columns stripped).
+    pub fn decode(self, row: &Row) -> Result<Event> {
+        let lifetime = self.framed_lifetime(row)?;
+        let payload = Row::new(row.values()[self.framing_columns()..].to_vec());
+        Ok(Event::new(lifetime, payload))
     }
 
     /// Encode one event as a row (framing columns prepended). Point
@@ -147,10 +158,10 @@ impl EventEncoding {
     /// Decode a whole partition of rows straight into a column-major
     /// [`EventBatch`] — the reducer entry of the columnar execution mode.
     ///
-    /// Framing problems (non-integral `Time`/`TimeEnd`, empty lifetimes)
-    /// are hard errors with messages identical to [`decode`], and they
-    /// surface at the same first bad row, because the row path never
-    /// type-checks payload cells and so can only fail on framing too.
+    /// Framing problems (missing or non-integral `Time`/`TimeEnd`, empty
+    /// lifetimes) are hard errors with messages identical to [`decode`],
+    /// and they surface at the same first bad row, because the row path
+    /// never type-checks payload cells and so can only fail on framing too.
     /// A payload cell that doesn't fit its declared column type returns
     /// `Ok(None)`: the caller falls back to [`decode_stream`], which
     /// accepts it, keeping the columnar mode a pure optimization.
@@ -159,23 +170,9 @@ impl EventEncoding {
         let mut vt = Vec::with_capacity(rows.len());
         let mut ve = Vec::with_capacity(rows.len());
         for row in rows {
-            let le = row
-                .get(0)
-                .as_long()
-                .ok_or_else(|| TimrError::Compile(format!("non-integral Time in row {row}")))?;
-            let re = match self {
-                EventEncoding::Point => le + 1,
-                EventEncoding::Interval => row.get(1).as_long().ok_or_else(|| {
-                    TimrError::Compile(format!("non-integral TimeEnd in row {row}"))
-                })?,
-            };
-            if re <= le {
-                return Err(TimrError::Compile(format!(
-                    "row {row} has empty lifetime [{le}, {re})"
-                )));
-            }
-            vt.push(le);
-            ve.push(re);
+            let lifetime = self.framed_lifetime(row)?;
+            vt.push(lifetime.start);
+            ve.push(lifetime.end);
         }
         let columns = ColumnBatch::from_value_rows(
             payload.clone(),
@@ -382,6 +379,36 @@ mod tests {
         assert!(EventEncoding::Interval
             .decode(&row![5i64, 5i64, "u", 0i64])
             .is_err());
+    }
+
+    #[test]
+    fn malformed_framing_is_a_typed_error_on_every_row_path() {
+        let p = payload_schema();
+        let cases = [
+            (EventEncoding::Point, Row::new(vec![]), "missing Time"),
+            (EventEncoding::Interval, Row::new(vec![]), "missing Time"),
+            (EventEncoding::Interval, row![5i64], "missing TimeEnd"),
+            (
+                EventEncoding::Point,
+                row![i64::MAX, "u", 0i64],
+                "has no end tick",
+            ),
+        ];
+        for (enc, row, expected) in cases {
+            let rows = [row![0i64, 1i64, "ok", 0i64], row];
+            let rows = &rows[usize::from(enc == EventEncoding::Point)..];
+            let one = enc.decode(rows.last().unwrap()).unwrap_err().to_string();
+            let stream = enc.decode_stream(rows, &p).unwrap_err().to_string();
+            let batch = enc.decode_batch(rows, &p).unwrap_err().to_string();
+            assert!(one.contains(expected), "{enc:?}: {one}");
+            assert_eq!(one, stream, "{enc:?}");
+            assert_eq!(one, batch, "{enc:?}");
+        }
+        // The copy-free column path declines the overflowing point row, so
+        // the row path above is the one that reports it.
+        let ds = EventEncoding::Point.dataset_schema(&p);
+        let b = ColumnBatch::from_rows(&ds, &[row![i64::MAX, "u", 0i64]]).unwrap();
+        assert!(EventEncoding::Point.decode_column_batch(b, &p).is_none());
     }
 
     #[test]

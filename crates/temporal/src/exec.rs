@@ -17,7 +17,7 @@
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
 use crate::operators;
-use crate::plan::{LogicalPlan, NodeId, Operator};
+use crate::plan::{self, LogicalPlan, NodeId, Operator};
 use crate::stream::EventStream;
 use pool::WorkerPool;
 use relation::Schema;
@@ -571,6 +571,26 @@ impl<'a> Executor<'a> {
             }
             Operator::GroupApply { keys, subplan } => {
                 let input = inputs.pop().expect("group_apply has one input");
+                // `GroupInput → [AlterLifetime] → Aggregate` runs as one
+                // keyed endpoint sweep instead of a sub-plan per group;
+                // Interpreted keeps the per-group sub-plan as the oracle.
+                if let Some((window, aggs)) =
+                    plan::window_aggregate(subplan).filter(|_| !interpreted)
+                {
+                    let pool = &self.pool;
+                    return Ok(StreamData::Rows(match input {
+                        StreamData::Batch(b) => {
+                            operators::group_aggregate_batch(b, keys, window, aggs, pool)?
+                        }
+                        data => operators::group_aggregate(
+                            data.into_stream(),
+                            keys,
+                            window,
+                            aggs,
+                            pool,
+                        )?,
+                    }));
+                }
                 // Hoisted out of the per-group closure: the ref/consumer
                 // tables are recomputed per plan, not per group, and the
                 // sub-bindings stay empty unless the sub-plan actually

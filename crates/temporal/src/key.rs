@@ -10,11 +10,13 @@
 //! same strict `PartialEq` the old `Vec<Value>` map keys used — so operator
 //! results are bit-for-bit identical to the interpreted path. A key is only
 //! materialized with [`KeySelector::extract`] when one is needed per *group*
-//! (e.g. GroupApply's deterministic sorted-key group order), never per event.
+//! (e.g. a GroupApply output prefix), never per event; groups are ordered
+//! by comparing key cells in place ([`KeySelector::cmp_same`]).
 
 use crate::error::{Result, TemporalError};
 use relation::hash::key_hash;
 use relation::{ColumnBatch, Row, Schema, Value};
+use std::cmp::Ordering;
 
 /// Key columns of one schema, resolved to indices.
 #[derive(Debug, Clone)]
@@ -58,6 +60,17 @@ impl KeySelector {
     /// Whether two rows of the same schema share a key.
     pub fn matches_same(&self, a: &Row, b: &Row) -> bool {
         self.matches(a, self, b)
+    }
+
+    /// Order two rows of the same schema by key: lexicographic over the
+    /// key cells, exactly the order of the materialized `Vec<Value>` keys,
+    /// with no materialization.
+    pub fn cmp_same(&self, a: &Row, b: &Row) -> Ordering {
+        self.indices
+            .iter()
+            .map(|&i| a.get(i).cmp(b.get(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 
     /// Materialize the key (used once per group, not per event).
@@ -124,6 +137,27 @@ mod tests {
         assert!(lsel.matches(&a, &rsel, &row!["u1"]));
         assert!(!lsel.matches(&a, &rsel, &row!["u2"]));
         assert!(lsel.matches_same(&a, &row![9i64, "u1", "other"]));
+    }
+
+    #[test]
+    fn cmp_same_orders_like_materialized_keys() {
+        let s = schema();
+        let sel = KeySelector::new(&s, &["UserId", "KwAdId"]).unwrap();
+        let rows = [
+            row![1i64, "u1", "adB"],
+            row![2i64, "u1", "adA"],
+            row![3i64, "u0", "adZ"],
+            relation::Row::new(vec![
+                relation::Value::Long(4),
+                relation::Value::Null,
+                relation::Value::str("adA"),
+            ]),
+        ];
+        for a in &rows {
+            for b in &rows {
+                assert_eq!(sel.cmp_same(a, b), sel.extract(a).cmp(&sel.extract(b)));
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! output is already in canonical form.
 //!
 //! Aggregate arguments are compiled once against the input schema
-//! ([`crate::agg::AggExpr::compile_arg`]); the sweep itself is shared with
-//! the interpreted baseline, so the two modes can only differ in how the
+//! ([`crate::agg::AggExpr::compile_arg`]); the sweep itself ([`Sweep`]) is
+//! shared with the interpreted baseline and with GroupApply's keyed sweep
+//! ([`super::group_aggregate`]), so they can only differ in how the
 //! per-event argument values are produced — and those are value-identical.
 
-use crate::agg::AggExpr;
+use crate::agg::{Accumulator, AggExpr};
 use crate::batch::EventBatch;
 use crate::error::Result;
 use crate::event::Event;
@@ -26,7 +27,7 @@ use crate::stream::EventStream;
 use crate::time::{Lifetime, Time};
 use relation::{Field, Row, Schema, Value};
 
-fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schema> {
+pub(crate) fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schema> {
     Ok(Schema::new(
         aggs.iter()
             .map(|(name, a)| Ok(Field::new(name.clone(), a.infer_type(in_schema)?)))
@@ -57,7 +58,7 @@ pub fn aggregate(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<Even
             });
         }
     }
-    sweep(input, aggs, &arg_values, out_schema)
+    Ok(sweep(input, aggs, &arg_values, out_schema))
 }
 
 /// Columnar entry: argument values come off the batch through a
@@ -87,99 +88,129 @@ pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result
         }
     }
     let (vt, ve) = (input.vt(), input.ve());
-    sweep_times(
+    let mut out = Vec::new();
+    Sweep::default().run(
         input.len(),
         |i| Lifetime::new(vt[i], ve[i]),
         aggs,
         &arg_values,
-        out_schema,
-    )
+        &[],
+        &mut out,
+    );
+    Ok(EventStream::new(out_schema, out))
 }
 
 /// The endpoint sweep over pre-evaluated argument values (one flat buffer,
-/// stride `aggs.len()`, event-major). Shared by the compiled operator
-/// above and the interpreted baseline.
+/// stride `aggs.len()`, event-major), for a whole stream. Shared by the
+/// compiled operator above and the interpreted baseline.
 pub(crate) fn sweep(
     input: &EventStream,
     aggs: &[(String, AggExpr)],
     arg_values: &[Value],
     out_schema: Schema,
-) -> Result<EventStream> {
+) -> EventStream {
     let events = input.events();
-    sweep_times(
+    let mut out = Vec::new();
+    Sweep::default().run(
         input.len(),
         |i| events[i].lifetime,
         aggs,
         arg_values,
-        out_schema,
-    )
+        &[],
+        &mut out,
+    );
+    EventStream::new(out_schema, out)
 }
 
-/// The sweep proper, reading lifetimes through an accessor so row streams
-/// and column-major batches share one implementation.
-fn sweep_times(
-    n: usize,
-    lifetime: impl Fn(usize) -> Lifetime,
-    aggs: &[(String, AggExpr)],
-    arg_values: &[Value],
-    out_schema: Schema,
-) -> Result<EventStream> {
-    // Endpoint sweep: (time, event index, is_start).
-    let mut endpoints: Vec<(Time, usize, bool)> = Vec::with_capacity(n * 2);
-    for i in 0..n {
-        let lt = lifetime(i);
-        endpoints.push((lt.start, i, true));
-        endpoints.push((lt.end, i, false));
-    }
-    endpoints.sort_unstable_by_key(|&(t, i, is_start)| (t, is_start, i));
+/// The sweep proper, with its working buffers. One `Sweep` serves any
+/// number of [`Sweep::run`] calls, so a caller sweeping many small inputs
+/// (GroupApply's per-key runs, [`super::group_aggregate`]) reuses the
+/// endpoint, accumulator and value buffers instead of allocating them per
+/// input.
+#[derive(Default)]
+pub(crate) struct Sweep {
+    /// `(time, event index, is_start)` per lifetime endpoint.
+    endpoints: Vec<(Time, usize, bool)>,
+    accs: Vec<Accumulator>,
+    /// The aggregate values at the current instant.
+    values: Vec<Value>,
+}
 
-    let n_aggs = aggs.len();
-    let mut accs: Vec<_> = aggs.iter().map(|(_, a)| a.accumulator()).collect();
-    let mut active: i64 = 0;
-    let mut out: Vec<Event> = Vec::new();
-    let mut pending: Option<(Time, Row)> = None; // open segment start + value
+impl Sweep {
+    /// Sweep `n` events, reading lifetimes through an accessor so row
+    /// streams and column-major batches share one implementation, and
+    /// append one output event per maximal constant segment to `out`. Each
+    /// output row is `prefix` followed by the aggregate values (GroupApply
+    /// passes its key cells; a plain Aggregate passes nothing).
+    pub(crate) fn run(
+        &mut self,
+        n: usize,
+        lifetime: impl Fn(usize) -> Lifetime,
+        aggs: &[(String, AggExpr)],
+        arg_values: &[Value],
+        prefix: &[Value],
+        out: &mut Vec<Event>,
+    ) {
+        let endpoints = &mut self.endpoints;
+        endpoints.clear();
+        for i in 0..n {
+            let lt = lifetime(i);
+            endpoints.push((lt.start, i, true));
+            endpoints.push((lt.end, i, false));
+        }
+        endpoints.sort_unstable_by_key(|&(t, i, is_start)| (t, is_start, i));
 
-    let mut idx = 0;
-    while idx < endpoints.len() {
-        let t = endpoints[idx].0;
-        // Apply every change at instant t before emitting.
-        while idx < endpoints.len() && endpoints[idx].0 == t {
-            let (_, i, is_start) = endpoints[idx];
-            for (acc, v) in accs
-                .iter_mut()
-                .zip(&arg_values[i * n_aggs..(i + 1) * n_aggs])
-            {
-                if is_start {
-                    acc.add(v);
-                } else {
-                    acc.remove(v);
+        // Fresh accumulators per input: a drained accumulator is not
+        // necessarily a new one (SUM remembers whether it saw a double,
+        // AVG keeps float residue).
+        let n_aggs = aggs.len();
+        self.accs.clear();
+        self.accs.extend(aggs.iter().map(|(_, a)| a.accumulator()));
+        let mut active: i64 = 0;
+        let mut pending: Option<(Time, Row)> = None; // open segment start + row
+
+        let mut idx = 0;
+        while idx < endpoints.len() {
+            let t = endpoints[idx].0;
+            // Apply every change at instant t before emitting.
+            while idx < endpoints.len() && endpoints[idx].0 == t {
+                let (_, i, is_start) = endpoints[idx];
+                for (acc, v) in self
+                    .accs
+                    .iter_mut()
+                    .zip(&arg_values[i * n_aggs..(i + 1) * n_aggs])
+                {
+                    if is_start {
+                        acc.add(v);
+                    } else {
+                        acc.remove(v);
+                    }
+                }
+                active += if is_start { 1 } else { -1 };
+                idx += 1;
+            }
+            if active > 0 {
+                self.values.clear();
+                self.values.extend(self.accs.iter().map(Accumulator::value));
+                // Coalescing is just "don't close when equal".
+                if let Some((_, row)) = &pending {
+                    if row.values()[prefix.len()..] == self.values[..] {
+                        continue;
+                    }
                 }
             }
-            active += if is_start { 1 } else { -1 };
-            idx += 1;
-        }
-        let value = if active > 0 {
-            Some(Row::new(accs.iter().map(|a| a.value()).collect()))
-        } else {
-            None
-        };
-        // Close the previous segment if the value changed; coalescing is
-        // just "don't close when equal".
-        match (&mut pending, value) {
-            (Some((start, row)), Some(new_row)) if *row == new_row => {
-                let _ = start; // same value: keep the segment open
+            if let Some((start, row)) = pending.take() {
+                out.push(Event::new(Lifetime::new(start, t), row));
             }
-            (p, new_value) => {
-                if let Some((start, row)) = p.take() {
-                    out.push(Event::new(Lifetime::new(start, t), row));
-                }
-                *p = new_value.map(|row| (t, row));
+            if active > 0 {
+                let mut row = Vec::with_capacity(prefix.len() + n_aggs);
+                row.extend_from_slice(prefix);
+                row.append(&mut self.values);
+                pending = Some((t, Row::new(row)));
             }
         }
+        debug_assert!(pending.is_none(), "sweep ended with an open segment");
     }
-    debug_assert!(pending.is_none(), "sweep ended with an open segment");
-
-    Ok(EventStream::new(out_schema, out))
 }
 
 #[cfg(test)]

@@ -82,7 +82,12 @@ pub fn aggregate(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<Even
             arg_values.push(a.eval_arg(in_schema, &e.payload)?);
         }
     }
-    crate::operators::aggregate::sweep(input, aggs, &arg_values, out_schema)
+    Ok(crate::operators::aggregate::sweep(
+        input,
+        aggs,
+        &arg_values,
+        out_schema,
+    ))
 }
 
 /// Interpreted GroupApply: `Vec<Value>` key per event, clones group events.

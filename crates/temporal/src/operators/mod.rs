@@ -32,7 +32,7 @@ pub use alter_lifetime::{alter_lifetime, alter_lifetime_batch};
 pub use anti_semi_join::anti_semi_join;
 pub use filter::{filter, filter_batch};
 pub use fused::{fused_fragment_batch, fused_fragment_rows};
-pub use group_apply::{group_apply, group_apply_batch};
+pub use group_apply::{group_aggregate, group_aggregate_batch, group_apply, group_apply_batch};
 pub use hop_udo::hop_udo;
 pub use project::{project, project_batch};
 pub use spread_grid::spread_grid;

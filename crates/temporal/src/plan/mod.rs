@@ -409,6 +409,47 @@ impl LogicalPlan {
     }
 }
 
+/// `(lifetime op, aggregates)` of a windowed-aggregate sub-plan (see
+/// [`window_aggregate`]).
+pub type WindowAggregate<'a> = (Option<&'a LifetimeOp>, &'a [(String, AggExpr)]);
+
+/// The lifetime op and aggregates of a GroupApply sub-plan shaped
+/// `GroupInput → [one AlterLifetime] → Aggregate(aggs)`, where every node
+/// has a single consumer. The lifetime op, when present, may also be a
+/// one-step `FusedFragment` (the form fusion gives a lone AlterLifetime).
+///
+/// This is the windowed per-key aggregate that the executor runs as one
+/// keyed endpoint sweep (`operators::group_aggregate`), that
+/// [`factor_windows`] factors and that [`push_down`] splits into
+/// partials (both with a `Hop` window or none).
+pub fn window_aggregate(subplan: &LogicalPlan) -> Option<WindowAggregate<'_>> {
+    let [root] = subplan.roots() else {
+        return None;
+    };
+    let root = subplan.node(*root);
+    let Operator::Aggregate { aggs } = &root.op else {
+        return None;
+    };
+    let mut below = subplan.node(root.inputs[0]);
+    let window = match &below.op {
+        Operator::AlterLifetime { op } => Some(op),
+        Operator::FusedFragment { steps } => match steps.as_slice() {
+            [FusedStep::AlterLifetime { op }] => Some(op),
+            _ => return None,
+        },
+        _ => None,
+    };
+    if window.is_some() {
+        below = subplan.node(below.inputs[0]);
+    }
+    let Operator::GroupInput { .. } = below.op else {
+        return None;
+    };
+    // The chain is the whole sub-plan, so no node has a second consumer.
+    let chain = 2 + usize::from(window.is_some());
+    (subplan.nodes().len() == chain).then_some((window, aggs.as_slice()))
+}
+
 const MAX_PLAN_DEPTH: usize = 10_000;
 
 fn infer_schema(
@@ -753,6 +794,99 @@ mod tests {
                 assert!(pos(input) < pos(id));
             }
         }
+    }
+
+    /// The sub-plan of the (first) GroupApply in `plan`.
+    fn subplan_of(plan: &LogicalPlan) -> Arc<LogicalPlan> {
+        plan.nodes()
+            .iter()
+            .find_map(|n| match &n.op {
+                Operator::GroupApply { subplan, .. } => Some(Arc::clone(subplan)),
+                _ => None,
+            })
+            .expect("plan has a GroupApply")
+    }
+
+    fn grouped(sub: impl FnOnce(StreamHandle) -> StreamHandle) -> Arc<LogicalPlan> {
+        let q = Query::new();
+        let out = q.source("in", bt_schema()).group_apply(&["UserId"], sub);
+        subplan_of(&q.build(vec![out]).unwrap())
+    }
+
+    #[test]
+    fn window_aggregate_matches_the_windowed_aggregate_shape() {
+        let count = || vec![("N".to_string(), AggExpr::Count)];
+        let sub = grouped(|g| g.aggregate(count()));
+        assert!(matches!(window_aggregate(&sub), Some((None, aggs)) if aggs == count()));
+        let sub = grouped(|g| g.window(HOUR).aggregate(count()));
+        assert!(matches!(
+            window_aggregate(&sub),
+            Some((Some(LifetimeOp::Window(w)), _)) if *w == HOUR
+        ));
+        let sub = grouped(|g| g.hop_window(900, HOUR).aggregate(count()));
+        assert!(matches!(
+            window_aggregate(&sub),
+            Some((Some(LifetimeOp::Hop { hop: 900, width }), _)) if *width == HOUR
+        ));
+        // Fusion wraps the lone AlterLifetime in a one-step fragment.
+        let q = Query::new();
+        let out = q
+            .source("in", bt_schema())
+            .group_apply(&["UserId"], |g| g.extend_back(5).aggregate(count()));
+        let fused = subplan_of(&fuse_plan(&q.build(vec![out]).unwrap()).unwrap());
+        assert!(fused
+            .nodes()
+            .iter()
+            .any(|n| matches!(&n.op, Operator::FusedFragment { steps } if steps.len() == 1)));
+        assert!(matches!(
+            window_aggregate(&fused),
+            Some((Some(LifetimeOp::ExtendBack(5)), _))
+        ));
+    }
+
+    #[test]
+    fn window_aggregate_rejects_other_sub_plans() {
+        // A multicast GroupInput (BotElim's shape).
+        let sub = grouped(|g| g.clone().count("N").union(g.window(5).count("N")));
+        assert!(window_aggregate(&sub).is_none());
+        // A Filter or a Project in the chain.
+        let sub = grouped(|g| g.filter(col("StreamId").eq(lit(1))).window(5).count("N"));
+        assert!(window_aggregate(&sub).is_none());
+        let sub = grouped(|g| g.select(&["KwAdId"]).count("N"));
+        assert!(window_aggregate(&sub).is_none());
+        // Two lifetime ops, as operators and as one fused fragment.
+        let q = Query::new();
+        let out = q
+            .source("in", bt_schema())
+            .group_apply(&["UserId"], |g| g.window(5).shift(2).count("N"));
+        let plan = q.build(vec![out]).unwrap();
+        assert!(window_aggregate(&subplan_of(&plan)).is_none());
+        assert!(window_aggregate(&subplan_of(&fuse_plan(&plan).unwrap())).is_none());
+        // A multi-root sub-plan: the windowed aggregate plus a second
+        // aggregate over the same GroupInput.
+        let gi = PlanNode {
+            op: Operator::GroupInput {
+                schema: bt_schema(),
+            },
+            inputs: vec![],
+        };
+        let window = PlanNode {
+            op: Operator::AlterLifetime {
+                op: LifetimeOp::Window(5),
+            },
+            inputs: vec![0],
+        };
+        let count = |input| PlanNode {
+            op: Operator::Aggregate {
+                aggs: vec![("N".to_string(), AggExpr::Count)],
+            },
+            inputs: vec![input],
+        };
+        let nodes = vec![gi, window, count(1), count(0)];
+        let multi = LogicalPlan::from_parts(nodes.clone(), vec![2, 3]).unwrap();
+        assert!(window_aggregate(&multi).is_none());
+        let single = LogicalPlan::from_parts(nodes[..3].to_vec(), vec![2]).unwrap();
+        assert!(window_aggregate(&single).is_some());
     }
 
     #[test]

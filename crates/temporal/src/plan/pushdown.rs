@@ -51,8 +51,8 @@
 //! [`AggExpr::combinable`]: crate::agg::AggExpr::combinable
 //! [`AggExpr::combining`]: crate::agg::AggExpr::combining
 
-use super::share::{gcd, hopping_aggregate};
-use super::{FusedStep, LifetimeOp, LogicalPlan, NodeId, Operator, PlanNode};
+use super::share::gcd;
+use super::{window_aggregate, FusedStep, LifetimeOp, LogicalPlan, NodeId, Operator, PlanNode};
 use crate::agg::AggExpr;
 use crate::error::{Result, TemporalError};
 use crate::expr::Expr;
@@ -151,7 +151,7 @@ pub fn validate_mapper_plan(plan: &LogicalPlan, partition_cols: Option<&[String]
                         )));
                     }
                 }
-                let Some((_, _, aggs)) = hopping_aggregate(subplan) else {
+                let Some((Some(LifetimeOp::Hop { .. }), aggs)) = window_aggregate(subplan) else {
                     return Err(TemporalError::Plan(
                         "push-down: mapper GroupApply must be a hopping-window aggregate".into(),
                     ));
@@ -195,22 +195,6 @@ struct Partial {
     hop: Duration,
     width: Duration,
     aggs: Vec<(String, AggExpr)>,
-}
-
-/// The aggregates of a window-free GroupApply sub-plan, `GroupInput →
-/// Aggregate(aggs)`: the group side of a `Hop → GroupApply` pair.
-fn plain_aggregate(subplan: &LogicalPlan) -> Option<&[(String, AggExpr)]> {
-    if subplan.nodes().len() != 2 || subplan.roots().len() != 1 {
-        return None;
-    }
-    let root = subplan.node(subplan.roots()[0]);
-    let Operator::Aggregate { aggs } = &root.op else {
-        return None;
-    };
-    let Operator::GroupInput { .. } = subplan.node(root.inputs[0]).op else {
-        return None;
-    };
-    Some(aggs)
 }
 
 /// `GroupInput → Hop{hop, width} → Aggregate(aggs)` as a GroupApply
@@ -351,14 +335,16 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
         if eff[cut] == 1 {
             if let Some(c) = consumer_of(cut) {
                 if let Operator::GroupApply { keys, subplan } = &plan.node(c).op {
-                    let window = match (hopping_aggregate(subplan), &plan.node(cut).op) {
-                        (Some((hop, width, aggs)), _) => Some((hop, width, aggs, false)),
+                    let window = match (window_aggregate(subplan), &plan.node(cut).op) {
+                        (Some((Some(&LifetimeOp::Hop { hop, width }), aggs)), _) => {
+                            Some((hop, width, aggs, false))
+                        }
                         (
-                            None,
+                            Some((None, aggs)),
                             Operator::AlterLifetime {
                                 op: LifetimeOp::Hop { hop, width },
                             },
-                        ) => plain_aggregate(subplan).map(|aggs| (*hop, *width, aggs, true)),
+                        ) => Some((*hop, *width, aggs, true)),
                         _ => None,
                     };
                     if let Some((hop, width, aggs, absorbs_hop)) = window {
@@ -740,7 +726,11 @@ mod tests {
             assert!(pd.residual.nodes().iter().any(|n| matches!(
                 &n.op,
                 Operator::GroupApply { subplan, .. }
-                    if hopping_aggregate(subplan).is_some_and(|(h, w, _)| (h, w) == (hop, width))
+                    if matches!(
+                        window_aggregate(subplan),
+                        Some((Some(&LifetimeOp::Hop { hop: h, width: w }), _))
+                            if (h, w) == (hop, width)
+                    )
             )));
             for extents in [1, 2, 5] {
                 assert_split_equivalent(&plan, Some(&cols), extents);

@@ -14,8 +14,8 @@
 //!    `(hop, width)` are harmonically related are rewritten to aggregate
 //!    the GCD-hop *factor* window once; each query's wider window is then
 //!    derived by combining per-cell partials (COUNT/integer-SUM/MIN/MAX —
-//!    see [`AggExpr::combinable`]). Non-combinable aggregates keep their
-//!    private windows.
+//!    see [`AggExpr::combinable`](crate::agg::AggExpr::combinable)).
+//!    Non-combinable aggregates keep their private windows.
 //!
 //! Both rewrites preserve per-query output byte-for-byte: sharing only
 //! deduplicates identical computations, and the factor algebra is exact
@@ -23,8 +23,7 @@
 //! event's cell re-windows to exactly the instants the raw event would
 //! have reached, and cell partials combine losslessly).
 
-use super::{LifetimeOp, LogicalPlan, NodeId, Operator, PlanNode};
-use crate::agg::AggExpr;
+use super::{window_aggregate, LifetimeOp, LogicalPlan, NodeId, Operator, PlanNode};
 use crate::error::{Result, TemporalError};
 use crate::time::Duration;
 use relation::{Field, Schema};
@@ -251,30 +250,6 @@ struct Candidate {
     width: Duration,
 }
 
-/// `(hop, width, aggs)` of a hopping-aggregate sub-plan.
-pub(crate) type HoppingAggregate<'a> = (Duration, Duration, &'a [(String, AggExpr)]);
-
-pub(crate) fn hopping_aggregate(subplan: &LogicalPlan) -> Option<HoppingAggregate<'_>> {
-    if subplan.nodes().len() != 3 || subplan.roots().len() != 1 {
-        return None;
-    }
-    let root = subplan.node(subplan.roots()[0]);
-    let Operator::Aggregate { aggs } = &root.op else {
-        return None;
-    };
-    let mid = subplan.node(root.inputs[0]);
-    let Operator::AlterLifetime {
-        op: LifetimeOp::Hop { hop, width },
-    } = &mid.op
-    else {
-        return None;
-    };
-    let Operator::GroupInput { .. } = subplan.node(mid.inputs[0]).op else {
-        return None;
-    };
-    Some((*hop, *width, aggs))
-}
-
 /// Rewrite groups of harmonically related hopping-window aggregates to
 /// share a GCD-hop factor window. Returns the rewritten plan and the
 /// number of groups factored (0 leaves the plan unchanged).
@@ -282,7 +257,8 @@ pub(crate) fn hopping_aggregate(subplan: &LogicalPlan) -> Option<HoppingAggregat
 /// A group is a set of ≥ 2 `GroupApply` siblings over the same input node
 /// with identical keys and identical aggregate lists, each of shape
 /// `GroupInput → Hop{hᵢ, wᵢ} → Aggregate`, where every aggregate is
-/// [`AggExpr::combinable`]. With `g = gcd(hᵢ, wᵢ)` the rewrite inserts
+/// [`AggExpr::combinable`](crate::agg::AggExpr::combinable). With
+/// `g = gcd(hᵢ, wᵢ)` the rewrite inserts
 ///
 /// ```text
 /// input → GroupApply(keys){ Hop{g, g} → Aggregate(aggs) } → SpreadGrid{g}
@@ -308,7 +284,7 @@ pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
         let Operator::GroupApply { keys, subplan } = &node.op else {
             continue;
         };
-        let Some((hop, width, aggs)) = hopping_aggregate(subplan) else {
+        let Some((Some(&LifetimeOp::Hop { hop, width }), aggs)) = window_aggregate(subplan) else {
             continue;
         };
         let input = node.inputs[0];
@@ -360,7 +336,7 @@ pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
         let Operator::GroupApply { keys, subplan } = &plan.node(members[0].node).op else {
             unreachable!("candidates are GroupApply nodes");
         };
-        let (_, _, aggs) = hopping_aggregate(subplan).expect("candidate shape just matched");
+        let (_, aggs) = window_aggregate(subplan).expect("candidate shape just matched");
         let aggs = aggs.to_vec();
         let keys = keys.clone();
         let in_schema = plan.schema_of(input).clone();
@@ -465,6 +441,7 @@ pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::AggExpr;
     use crate::event::Event;
     use crate::exec::{bindings, execute};
     use crate::expr::{col, lit};
