@@ -22,7 +22,7 @@
 
 use crate::chaos::{self, FaultKind};
 use crate::cluster::{ClusterConfig, MapTaskOut, ShuffleSlot};
-use crate::dfs::Dataset;
+use crate::dfs::{Dataset, StoredExtent};
 use crate::error::{MrError, Result, TaskError, TaskPhase};
 use crate::job::{CompiledPartitioner, Stage};
 use pool::WorkerPool;
@@ -133,8 +133,10 @@ pub(crate) struct StageEnv<'a> {
     pub expected_sinks: usize,
 }
 
-/// One reduce partition's result: rows per sink, plus measured reduce time.
-pub(crate) type ReduceOut = (Vec<Vec<Row>>, Duration);
+/// One reduce partition's result: per sink, the rows and their stored
+/// form (sealed inside the reduce task; `Unframed` with integrity off),
+/// plus the measured reducer time, which excludes the seal.
+pub(crate) type ReduceOut = (Vec<(Vec<Row>, StoredExtent)>, Duration);
 
 /// An execution backend: hands out a per-stage [`StageExec`].
 pub(crate) trait Backend: Send + Sync + std::fmt::Debug {
@@ -276,17 +278,17 @@ pub(crate) fn contained<T>(
     }
 }
 
-/// The in-process thread-pool backend (the frozen baseline).
+/// The in-process thread-pool backend (the frozen baseline). It runs its
+/// tasks on the cluster's own pool, the one the driver also seals the
+/// shuffle on, so the two never hold workers of their own side by side.
 #[derive(Debug)]
 pub(crate) struct ThreadBackend {
-    pool: WorkerPool,
+    pool: Arc<WorkerPool>,
 }
 
 impl ThreadBackend {
-    pub fn new(threads: usize) -> ThreadBackend {
-        ThreadBackend {
-            pool: WorkerPool::new(threads),
-        }
+    pub fn new(pool: Arc<WorkerPool>) -> ThreadBackend {
+        ThreadBackend { pool }
     }
 }
 

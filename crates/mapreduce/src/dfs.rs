@@ -12,6 +12,11 @@
 //! binary bytes, a length + checksum frame for legacy extents — so consumers
 //! ([`Dataset::verify_extent`], the cluster's map scan, persistence) detect
 //! corruption instead of silently processing damaged data.
+//!
+//! Stage outputs arrive already sealed: each reduce task computes its
+//! sinks' stored forms itself (a worker process ships the binary image,
+//! which the driver keeps verbatim), and the cluster publishes them with
+//! [`Dataset::from_stored`] without encoding anything on the driver.
 
 use crate::chaos::ExtentFrame;
 use crate::error::{MrError, Result};
@@ -21,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The stored (shippable) form of one extent.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StoredExtent {
     /// Framed binary columnar extent bytes — the native form — plus the
     /// row-level frame guarding the decoded working copy.
@@ -98,8 +103,9 @@ impl Dataset {
         }
     }
 
-    /// Build from already-computed stored extents (persistence load path:
-    /// the binary bytes read from disk are kept verbatim, not re-encoded).
+    /// Build from already-computed stored extents (stage outputs sealed by
+    /// their reduce tasks, and the persistence load path: the binary bytes
+    /// are kept verbatim, not re-encoded).
     pub(crate) fn from_stored(
         schema: Schema,
         partitions: Vec<Vec<Row>>,

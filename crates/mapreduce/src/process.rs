@@ -40,6 +40,7 @@ use crate::cluster::{
     corrupt_slot, fetch_inputs, lock_slot, run_map_task, run_reduce_task, verify_slot, MapTaskOut,
     ShuffleChunk, ShuffleSlot,
 };
+use crate::dfs::StoredExtent;
 use crate::error::{MrError, Result, TaskError, TaskPhase};
 use crate::transport::{
     encode_frame, payload_offset, Frame, FrameKind, PayloadReader, PayloadWriter, Received,
@@ -95,7 +96,13 @@ fn write_rows_chunk(w: &mut PayloadWriter, schema: &Schema, rows: &[Row]) {
 }
 
 fn read_rows_chunk(r: &mut PayloadReader<'_>, schema: &Schema) -> io::Result<Vec<Row>> {
-    match r.u8()? {
+    let tag = r.u8()?;
+    read_rows_body(r, tag, schema)
+}
+
+/// The body of a rows chunk whose tag has already been read.
+fn read_rows_body(r: &mut PayloadReader<'_>, tag: u8, schema: &Schema) -> io::Result<Vec<Row>> {
+    match tag {
         2 => Ok(Vec::new()),
         0 => Ok(ColumnBatch::from_extent_bytes(r.bytes()?)
             .map_err(proto_err)?
@@ -103,6 +110,73 @@ fn read_rows_chunk(r: &mut PayloadReader<'_>, schema: &Schema) -> io::Result<Vec
         1 => codec::decode_rows(r.str()?, schema).map_err(proto_err),
         other => Err(proto_err(format!("unknown rows-chunk tag {other}"))),
     }
+}
+
+/// Worker side of a successful map result: accounting, then one rows
+/// chunk per reduce partition.
+fn write_map_ok(w: &mut PayloadWriter, schema: &Schema, out: &MapTaskOut) {
+    w.u64(out.rows_in)
+        .u64(out.rows_out)
+        .u64(out.bytes)
+        .u64(out.bytes_saved)
+        .u64(out.text_bytes);
+    for rows in &out.sub {
+        write_rows_chunk(w, schema, rows);
+    }
+}
+
+/// Worker side of a successful reduce result: the reducer time, then per
+/// sink the image the reduce task sealed, shipped verbatim (tag 0), or —
+/// for a sink with no binary image (ill-typed rows, or integrity off) —
+/// a rows chunk encoded as before.
+fn write_reduce_ok(w: &mut PayloadWriter, sink_schemas: &[Schema], out: &ReduceOut) {
+    let (sinks, took) = out;
+    w.u64(took.as_nanos() as u64);
+    for ((rows, stored), schema) in sinks.iter().zip(sink_schemas) {
+        match stored {
+            StoredExtent::Binary { bytes, .. } => {
+                w.u8(0).bytes(bytes);
+            }
+            _ => write_rows_chunk(w, schema, rows),
+        }
+    }
+}
+
+/// Driver side of one reduce sink: the rows for the working copy and,
+/// with integrity on, their stored form. A binary image is kept verbatim
+/// as the sink's stored bytes (the way a persisted part file is loaded),
+/// with only the row frame computed here; any other chunk (ill-typed rows
+/// shipped as text) is sealed here, as before.
+fn read_sink(
+    r: &mut PayloadReader<'_>,
+    schema: &Schema,
+    integrity: bool,
+) -> io::Result<(Vec<Row>, StoredExtent)> {
+    let tag = r.u8()?;
+    if tag != 0 {
+        let rows = read_rows_body(r, tag, schema)?;
+        let stored = if integrity {
+            StoredExtent::compute(schema, &rows)
+        } else {
+            StoredExtent::Unframed
+        };
+        return Ok((rows, stored));
+    }
+    let bytes = r.bytes()?;
+    let batch = ColumnBatch::from_extent_bytes(bytes).map_err(proto_err)?;
+    if batch.schema() != schema {
+        return Err(proto_err("sink image schema is not the sink schema"));
+    }
+    let rows = batch.to_rows();
+    let stored = if integrity {
+        StoredExtent::Binary {
+            frame: ExtentFrame::compute(&rows),
+            bytes: Arc::new(bytes.to_vec()),
+        }
+    } else {
+        StoredExtent::Unframed
+    };
+    Ok((rows, stored))
 }
 
 fn write_task_error(w: &mut PayloadWriter, e: &TaskError) {
@@ -208,12 +282,15 @@ fn write_slot(w: &mut PayloadWriter, slot: &ShuffleSlot) -> std::result::Result<
     Ok(())
 }
 
+/// Worker side of a slot. The wire counts are untrusted: capacities are
+/// capped by the payload bytes left, since every input and every chunk
+/// costs at least one byte.
 fn read_slot(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<ShuffleSlot> {
     let n_inputs = r.u64()? as usize;
-    let mut inputs = Vec::with_capacity(n_inputs);
+    let mut inputs = Vec::with_capacity(n_inputs.min(r.remaining()));
     for i in 0..n_inputs {
         let n_chunks = r.u64()? as usize;
-        let mut chunks = Vec::with_capacity(n_chunks);
+        let mut chunks = Vec::with_capacity(n_chunks.min(r.remaining()));
         for _ in 0..n_chunks {
             match r.u8()? {
                 0 => chunks.push(ShuffleChunk::Mem(r.bytes()?.to_vec())),
@@ -362,15 +439,8 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
             w.u64(seq).u8(0);
             match outcome {
                 Ok(out) => {
-                    w.u8(0)
-                        .u64(out.rows_in)
-                        .u64(out.rows_out)
-                        .u64(out.bytes)
-                        .u64(out.bytes_saved)
-                        .u64(out.text_bytes);
-                    for rows in &out.sub {
-                        write_rows_chunk(&mut w, &env.mapped_schemas[i], rows);
-                    }
+                    w.u8(0);
+                    write_map_ok(&mut w, &env.mapped_schemas[i], &out);
                 }
                 Err(e) => {
                     w.u8(1);
@@ -442,11 +512,9 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
             let mut w = PayloadWriter::new();
             w.u64(seq).u8(2);
             match outcome {
-                Ok((sinks, dur)) => {
-                    w.u8(0).u64(dur.as_nanos() as u64);
-                    for (s, rows) in sinks.iter().enumerate() {
-                        write_rows_chunk(&mut w, &env.sink_schemas[s], rows);
-                    }
+                Ok(out) => {
+                    w.u8(0);
+                    write_reduce_ok(&mut w, env.sink_schemas, &out);
                 }
                 Err(e) => {
                     w.u8(1);
@@ -1426,10 +1494,11 @@ fn decode_map_ok(
 
 fn decode_reduce_ok(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<TaskOutput> {
     let elapsed = Duration::from_nanos(r.u64()?);
-    let mut sinks = Vec::with_capacity(env.expected_sinks);
-    for s in 0..env.expected_sinks {
-        sinks.push(read_rows_chunk(r, &env.sink_schemas[s])?);
-    }
+    let sinks = env
+        .sink_schemas
+        .iter()
+        .map(|schema| read_sink(r, schema, env.config.integrity))
+        .collect::<io::Result<Vec<_>>>()?;
     Ok(TaskOutput::Reduce((sinks, elapsed)))
 }
 
@@ -1481,5 +1550,169 @@ impl<'e> StageExec<'e> for ProcessExec<'e> {
 impl Drop for ProcessExec<'_> {
     fn drop(&mut self) {
         self.teardown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::FaultCounters;
+    use crate::cluster::ClusterConfig;
+    use crate::dfs::Dataset;
+    use crate::job::{IdentityReducer, Partitioner, Stage};
+    use pool::WorkerPool;
+    use relation::row;
+    use relation::schema::{ColumnType, Field};
+
+    fn schema() -> Schema {
+        Schema::timestamped(vec![Field::new("UserId", ColumnType::Str)])
+    }
+
+    fn long_schema() -> Schema {
+        Schema::new(vec![Field::new("N", ColumnType::Long)])
+    }
+
+    fn rows(n: i64) -> Vec<Row> {
+        (0..n).map(|i| row![i, format!("u{}", i % 3)]).collect()
+    }
+
+    /// Run `f` with a three-partition stage environment whose sinks are
+    /// `[schema, schema, long_schema]`, the way the decoders see it.
+    fn with_env<T>(f: impl FnOnce(&StageEnv<'_>) -> T) -> T {
+        let stage = Stage::new(
+            "wire",
+            vec!["in".into()],
+            "out",
+            Partitioner::Single,
+            3,
+            Arc::new(IdentityReducer),
+        )
+        .unwrap();
+        let inputs = vec![Dataset::single(schema(), rows(4))];
+        let mapped_schemas = vec![schema()];
+        let assigners = vec![stage.partitioner.compile(&schema()).unwrap()];
+        let sink_schemas = vec![schema(), schema(), long_schema()];
+        let config = ClusterConfig::default();
+        let counters = FaultCounters::default();
+        let dsms_pool = Arc::new(WorkerPool::new(1));
+        f(&StageEnv {
+            stage: &stage,
+            inputs: &inputs,
+            mapped_schemas: &mapped_schemas,
+            assigners: &assigners,
+            sink_schemas: &sink_schemas,
+            config: &config,
+            counters: &counters,
+            dsms_pool: &dsms_pool,
+            chunk_target: u64::MAX,
+            expected_sinks: 3,
+        })
+    }
+
+    /// Encoded map-result, reduce-result and slot payloads: binary,
+    /// empty and ill-typed (text) chunks in each.
+    fn payloads(env: &StageEnv<'_>) -> [Vec<u8>; 3] {
+        // An `Int` in the `Long` time column: it cannot transpose, so it
+        // ships as text (and decodes re-typed as a `Long`).
+        let ill = vec![row![5i32, "u"]];
+        let mut map = PayloadWriter::new();
+        write_map_ok(
+            &mut map,
+            &env.mapped_schemas[0],
+            &MapTaskOut {
+                sub: vec![rows(12), Vec::new(), ill.clone()],
+                rows_in: 13,
+                rows_out: 13,
+                bytes: 100,
+                bytes_saved: 0,
+                text_bytes: 0,
+            },
+        );
+        let sinks: Vec<(Vec<Row>, StoredExtent)> = [rows(12), Vec::new(), vec![row![7i32]]]
+            .into_iter()
+            .zip(env.sink_schemas)
+            .map(|(rows, schema)| {
+                let stored = StoredExtent::compute(schema, &rows);
+                (rows, stored)
+            })
+            .collect();
+        let mut reduce = PayloadWriter::new();
+        write_reduce_ok(
+            &mut reduce,
+            env.sink_schemas,
+            &(sinks, Duration::from_micros(5)),
+        );
+        let image = ColumnBatch::from_rows(&schema(), &rows(9))
+            .and_then(|b| b.to_extent_bytes())
+            .unwrap();
+        let frame = ExtentFrame::compute(&ill);
+        let slot = ShuffleSlot {
+            inputs: vec![vec![
+                ShuffleChunk::Mem(image),
+                ShuffleChunk::Rows(ill, frame),
+            ]],
+        };
+        let mut wire = PayloadWriter::new();
+        write_slot(&mut wire, &slot).unwrap();
+        [map.finish(), reduce.finish(), wire.finish()]
+    }
+
+    /// Decode payload `k` of [`payloads`]: `Ok(())` when it decodes.
+    fn decode(env: &StageEnv<'_>, k: usize, bytes: &[u8]) -> io::Result<()> {
+        let mut r = PayloadReader::new(bytes);
+        match k {
+            0 => decode_map_ok(&mut r, env, 0).map(drop),
+            1 => decode_reduce_ok(&mut r, env).map(drop),
+            _ => read_slot(&mut r, env).map(drop),
+        }
+    }
+
+    #[test]
+    fn sealed_reduce_image_is_kept_verbatim() {
+        with_env(|env| {
+            let [_, reduce, _] = payloads(env);
+            let Ok(TaskOutput::Reduce((sinks, took))) =
+                decode_reduce_ok(&mut PayloadReader::new(&reduce), env)
+            else {
+                panic!("reduce payload must decode");
+            };
+            assert_eq!(took, Duration::from_micros(5));
+            assert_eq!(sinks[0].0, rows(12));
+            for ((rows, stored), schema) in sinks.iter().zip(env.sink_schemas) {
+                assert_eq!(*stored, StoredExtent::compute(schema, rows));
+            }
+            assert!(matches!(sinks[0].1, StoredExtent::Binary { .. }));
+        });
+    }
+
+    #[test]
+    fn every_flip_and_truncation_decodes_or_errors_without_panicking() {
+        with_env(|env| {
+            for (k, payload) in payloads(env).iter().enumerate() {
+                decode(env, k, payload).unwrap();
+                for i in 0..payload.len() {
+                    let mut flipped = payload.clone();
+                    flipped[i] ^= 0xFF;
+                    let _ = decode(env, k, &flipped);
+                }
+                for cut in 0..payload.len() {
+                    assert!(
+                        decode(env, k, &payload[..cut]).is_err(),
+                        "payload {k} truncated to {cut} byte(s) decoded"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn slot_counts_never_reserve_beyond_the_payload() {
+        with_env(|env| {
+            for (inputs, chunks) in [(u64::MAX, 0), (1, u64::MAX), (1 << 40, 1 << 40)] {
+                let mut w = PayloadWriter::new();
+                w.u64(inputs).u64(chunks).u8(2);
+                assert!(read_slot(&mut PayloadReader::new(&w.finish()), env).is_err());
+            }
+        });
     }
 }

@@ -1,4 +1,19 @@
 //! Execution statistics and the simulated-cluster makespan model.
+//!
+//! Where encoding is charged in a stage's wall time:
+//!
+//! - **Shuffle seals** go to [`StageStats::shuffle_time`]: the seals that
+//!   fire mid-merge under a memory budget, and the final seal of every
+//!   leftover `(input, partition)` accumulator, which runs on the driver
+//!   pool before the chunks are placed serially.
+//! - **Output seals** (each sink's rows into its stored extent) run inside
+//!   the reduce task, after the reducer's timestamp. They count in
+//!   [`StageStats::reduce_wall_time`] and not in
+//!   [`StageStats::partition_times`], which measure the reducer alone.
+//!
+//! Everything else — `wall_time` minus map, shuffle and reduce — is the
+//! driver's own work: capturing inputs, slot transposition and the
+//! publish, which only moves already-sealed extents into the DFS.
 
 use std::time::Duration;
 
@@ -24,7 +39,8 @@ pub struct StageStats {
     /// Wall-clock time of the parallel map phase (scan + partition).
     pub map_time: Duration,
     /// Wall-clock time merging per-task sub-buckets into shuffle buckets
-    /// (deterministic `(input, extent)` order).
+    /// (deterministic `(input, extent)` order), including every shuffle
+    /// seal: inline mid-merge seals and the pooled final seal.
     pub shuffle_time: Duration,
     /// Bytes moved through the shuffle (sum of row widths — the
     /// representation-independent payload measure).
@@ -40,7 +56,8 @@ pub struct StageStats {
     pub spill_extents: u64,
     /// Bytes written to spill files.
     pub spill_bytes: u64,
-    /// Wall-clock time of the parallel reduce phase.
+    /// Wall-clock time of the parallel reduce phase: shuffle fetch,
+    /// reducers, and the in-task sealing of their output.
     pub reduce_wall_time: Duration,
     /// Rows produced by all reducers.
     pub output_rows: u64,
@@ -49,7 +66,8 @@ pub struct StageStats {
     pub sink_rows: Vec<u64>,
     /// Number of reduce partitions.
     pub partitions: usize,
-    /// Reduce time per partition (CPU work, measured).
+    /// Reduce time per partition (CPU work, measured): the reducer alone,
+    /// without the fetch before it or the output seal after it.
     pub partition_times: Vec<Duration>,
     /// Wall-clock time of the whole stage on the local thread pool.
     pub wall_time: Duration,

@@ -33,6 +33,11 @@ const HEADER_LEN: usize = 1 + 8;
 /// length prefix must not turn into an unbounded allocation.
 const MAX_FRAME_BYTES: u64 = 1 << 34;
 
+/// Initial payload buffer for a frame: larger payloads grow the buffer as
+/// their bytes actually arrive, so a length prefix alone never reserves
+/// more than this.
+const INITIAL_PAYLOAD_CAPACITY: u64 = 64 << 10;
+
 /// What a message is, on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -162,8 +167,17 @@ fn read_frame(reader: &mut impl Read) -> io::Result<Received> {
             format!("frame claims {len} payload bytes"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(INITIAL_PAYLOAD_CAPACITY) as usize);
+    reader.take(len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "frame truncated: {} of {len} payload byte(s)",
+                payload.len()
+            ),
+        ));
+    }
     let mut hash = [0u8; 8];
     reader.read_exact(&mut hash)?;
     if u64::from_le_bytes(hash) != stable_hash(&payload) {
@@ -357,6 +371,11 @@ impl<'a> PayloadReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// Payload bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     pub fn bytes(&mut self) -> io::Result<&'a [u8]> {
         let len = self.u64()? as usize;
         self.take(len)
@@ -436,6 +455,27 @@ mod tests {
         let (a, b) = MemTransport::pair();
         a.send_raw(&encoded).unwrap();
         assert!(b.recv().is_err());
+    }
+
+    #[test]
+    fn length_bomb_allocates_only_what_arrives() {
+        // A header claiming 8 GiB (under the cap) followed by 10 bytes: the
+        // read must fail on the short payload, not reserve 8 GiB first.
+        let mut bytes = vec![FrameKind::TaskResult.to_byte()];
+        bytes.extend_from_slice(&(1u64 << 33).to_le_bytes());
+        bytes.extend_from_slice(&[7u8; 10]);
+        let err = read_frame(&mut &bytes[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    #[test]
+    fn every_truncation_of_a_frame_is_an_error() {
+        let f = frame(FrameKind::TaskResult, b"sealed extent image");
+        let encoded = encode_frame(&f);
+        for cut in 0..encoded.len() {
+            assert!(read_frame(&mut &encoded[..cut]).is_err(), "cut at {cut}");
+        }
+        assert_eq!(read_frame(&mut &encoded[..]).unwrap(), Received::Frame(f));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 #![cfg(unix)]
 
 use proptest::prelude::*;
+use std::sync::{PoisonError, RwLock};
 use std::time::Duration;
 use timr_suite::mapreduce::{
     BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, FaultTotals, RetryPolicy,
@@ -89,7 +90,22 @@ fn deterministic_rows(n: i64) -> Vec<Row> {
         .collect()
 }
 
+/// Every job in this binary runs holding this lock shared; the hygiene
+/// test holds it exclusively, so no other test's workers, sockets or
+/// spill files are open while it counts them.
+static RESOURCES: RwLock<()> = RwLock::new(());
+
 fn run_job(rows: &[Row], mode: ExecMode, config: ClusterConfig) -> (Vec<Vec<Row>>, FaultTotals) {
+    let _shared = RESOURCES.read().unwrap_or_else(PoisonError::into_inner);
+    run_job_alone(rows, mode, config)
+}
+
+/// [`run_job`] for a caller that already holds [`RESOURCES`].
+fn run_job_alone(
+    rows: &[Row],
+    mode: ExecMode,
+    config: ClusterConfig,
+) -> (Vec<Vec<Row>>, FaultTotals) {
     let dfs = dfs_with(rows, 3);
     let cluster = Cluster::with_config(config);
     let out = click_count_job(mode).run(&dfs, &cluster).unwrap();
@@ -327,6 +343,66 @@ fn spills_and_workers_are_cleaned_up() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+/// A SIGKILL in every phase under a spill budget leaves nothing behind:
+/// the process holds as many open descriptors, and as many socket
+/// descriptors, as before the run, and the spill directory has as many
+/// entries. Linux only (it reads `/proc/self/fd`); elsewhere the test is
+/// compiled out.
+#[cfg(target_os = "linux")]
+#[test]
+fn sigkill_chaos_leaks_no_fds_sockets_or_spill_files() {
+    /// (open fds, socket fds, spill-dir entries).
+    fn census(spill_dir: &std::path::Path) -> (usize, usize, usize) {
+        let fds: Vec<std::path::PathBuf> = std::fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .flatten()
+            .filter_map(|e| std::fs::read_link(e.path()).ok())
+            .collect();
+        let sockets = fds
+            .iter()
+            .filter(|t| t.to_string_lossy().starts_with("socket:"))
+            .count();
+        (
+            fds.len(),
+            sockets,
+            std::fs::read_dir(spill_dir).unwrap().count(),
+        )
+    }
+
+    let _exclusive = RESOURCES.write().unwrap_or_else(PoisonError::into_inner);
+    let spill_dir =
+        std::env::temp_dir().join(format!("timr-backend-census-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).unwrap();
+    let rows = deterministic_rows(160);
+    let stage = stage_name(ExecMode::Compiled);
+    let retry = RetryPolicy::no_backoff(3);
+    let budgeted = |chaos: ChaosPlan| ClusterConfig {
+        memory_budget_bytes: Some(2 << 10),
+        spill_dir: Some(spill_dir.clone()),
+        ..process_config(2, chaos, retry)
+    };
+    // A clean run first, so anything opened once per process is open
+    // before the census starts.
+    let (reference, _) = run_job_alone(&rows, ExecMode::Compiled, budgeted(ChaosPlan::none()));
+    let before = census(&spill_dir);
+    let chaos = ChaosPlan::none()
+        .kill_process(&stage, TaskPhase::Map, 0)
+        .kill_process(&stage, TaskPhase::Shuffle, 1)
+        .kill_process(&stage, TaskPhase::Reduce, 2);
+    let (killed, totals) = run_job_alone(&rows, ExecMode::Compiled, budgeted(chaos));
+    let after = census(&spill_dir);
+    std::fs::remove_dir_all(&spill_dir).ok();
+    assert_eq!(killed, reference, "SIGKILL visible in output");
+    assert!(
+        totals.workers_lost >= 3,
+        "expected three real worker deaths"
+    );
+    assert_eq!(
+        after, before,
+        "(fds, socket fds, spill entries) after the chaos run vs before"
+    );
 }
 
 /// Child processes of this test binary in state Z (dead but not reaped).
